@@ -311,14 +311,14 @@ let pipeline_bench () =
   Format.fprintf out "wrote BENCH_pipeline.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path scenario: updates/s, GC words per update and wire-cache hit *)
-(* rates at three BRITE sizes in both delivery modes, compared against  *)
+(* Hot-path scenario: updates/s, GC words per update and encode-cache   *)
+(* hit rate at three BRITE sizes in both delivery modes, compared with  *)
 (* the recorded pre-change baseline, persisted as BENCH_perf.json.      *)
 (* Message counts are deterministic; timing and GC fields are not.      *)
 (* ------------------------------------------------------------------ *)
 
 let perf_bench () =
-  rule "Hot path: throughput, allocation and wire caches";
+  rule "Hot path: throughput, allocation and the encode cache";
   let rows = E.Perf_bench.suite () in
   List.iter (fun r -> Format.fprintf out "%a@." E.Perf_bench.pp r) rows;
   let headline = E.Perf_bench.headline rows in

@@ -122,7 +122,7 @@ let stress advertisements =
   Format.fprintf out
     "@.(paper: 40,700 vs 40,900 prefixes/s BGP-only; 7,073 at 32 KB; 926 at 256 KB)@."
 
-(* ---------- perf (hot-path throughput / allocation / wire caches) ---------- *)
+(* ---------- perf (hot-path throughput / allocation / encode cache) ---------- *)
 
 (* "--domains 1,2,4" -> [1; 2; 4]; None on anything malformed. *)
 let parse_domains spec =
@@ -177,7 +177,7 @@ let perf domains ases json =
     Format.eprintf "dbgp-sim: --perf-ases must be at least 20@.";
     exit 2 );
   Format.fprintf out
-    "Hot-path benchmark (updates/s, GC words/update, wire cache hit rates)@.@.";
+    "Hot-path benchmark (updates/s, GC words/update, encode-cache hit rate)@.@.";
   let rows = E.Perf_bench.suite () in
   List.iter (fun r -> Format.fprintf out "%a@." E.Perf_bench.pp r) rows;
   let headline = E.Perf_bench.headline rows in
@@ -641,7 +641,7 @@ let cmds =
     Cmd.v
       (Cmd.info "perf"
          ~doc:
-           "Hot-path benchmark: throughput, allocation and wire caches; \
+           "Hot-path benchmark: throughput, allocation and the encode cache; \
             with --domains, the sharded-execution scaling axis guarded by \
             the determinism oracle")
       Term.(const perf $ domains_arg $ perf_ases_arg $ perf_json_arg);

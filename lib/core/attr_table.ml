@@ -7,9 +7,17 @@
    hundreds of thousands of prefixes, and a feed's million originations
    share one.  [share] maps an IA to the canonical physical
    representative of its attribute set, so every RIB that stores shared
-   IAs degenerates to (prefix, canonical-attrs): with the prefix also
-   interned ({!Dbgp_types.Intern.prefix}), a RIB entry is morally the
-   int pair (prefix pack, attribute-set id).
+   IAs degenerates to (prefix, canonical-attrs): with {!Prefix.t} an
+   immediate int, a RIB entry is morally the int pair (prefix,
+   attribute-set id).  This is the one place equal attribute sets are
+   canonicalised; the codec hands out freshly decoded sets and the
+   table merges them here.
+
+   The table has no size cap: it holds exactly the sets the RIBs hold,
+   because a set leaves when its last holder releases it.  A cap would
+   have to hand some IAs back unshared, and a later release of such an
+   IA would find — and decrement — an equal set another holder had
+   shared since.
 
    Refcounting governs table membership only, never memory safety: the
    attribute lists are ordinary GC-managed values, so an unbalanced
@@ -28,32 +36,18 @@ module Metrics = Dbgp_obs.Metrics
 
 type entry = { canon : Ia.t; mutable rc : int; id : int }
 
-module Key = struct
+module Tbl = Hashtbl.Make (struct
   type t = Ia.t
 
   let equal = Ia.same_attrs
-
-  (* Prefix excluded — the bucketing relation is attrs-only.
-     [Hashtbl.hash]'s bounded traversal keeps this O(1) on hostile
-     input; structurally equal fields always hash equal. *)
-  let hash (ia : Ia.t) =
-    let h1 = Hashtbl.hash ia.Ia.path_vector
-    and h2 = Hashtbl.hash ia.Ia.membership
-    and h3 = Hashtbl.hash ia.Ia.path_descriptors
-    and h4 = Hashtbl.hash ia.Ia.island_descriptors in
-    (((((h1 * 31) + h2) * 31) + h3) * 31) + h4
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-let max_size = 262_144
+  let hash = Ia.hash_attrs
+end)
 
 type state = {
   obs : Metrics.t;
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
   c_evictions : Metrics.counter;
-  c_overflow : Metrics.counter;
   g_occupancy : Metrics.gauge;
   tbl : entry Tbl.t;
   mutable next_id : int;
@@ -68,7 +62,6 @@ let state_key =
         c_hits = Metrics.counter obs "attr_table.hits";
         c_misses = Metrics.counter obs "attr_table.misses";
         c_evictions = Metrics.counter obs "attr_table.evictions";
-        c_overflow = Metrics.counter obs "attr_table.overflow";
         g_occupancy = Metrics.gauge obs "attr_table.occupancy";
         tbl = Tbl.create 1024;
         next_id = 0;
@@ -111,33 +104,25 @@ let share ia =
     e.rc <- e.rc + 1;
     rebind e.canon ia
   | None ->
-    if Tbl.length s.tbl >= max_size then begin
-      (* Full table: hand the IA back unshared.  Sharing degrades, the
-         route is unaffected. *)
-      Metrics.incr s.c_overflow;
-      ia
-    end
-    else begin
-      Metrics.incr s.c_misses;
-      let id =
-        match s.free_ids with
-        | i :: rest ->
-          s.free_ids <- rest;
-          i
-        | [] ->
-          let i = s.next_id in
-          s.next_id <- i + 1;
-          i
-      in
-      Tbl.replace s.tbl ia { canon = ia; rc = 1; id };
-      Metrics.set s.g_occupancy (float_of_int (Tbl.length s.tbl));
-      ia
-    end
+    Metrics.incr s.c_misses;
+    let id =
+      match s.free_ids with
+      | i :: rest ->
+        s.free_ids <- rest;
+        i
+      | [] ->
+        let i = s.next_id in
+        s.next_id <- i + 1;
+        i
+    in
+    Tbl.replace s.tbl ia { canon = ia; rc = 1; id };
+    Metrics.set s.g_occupancy (float_of_int (Tbl.length s.tbl));
+    ia
 
 let release ia =
   let s = state () in
   match Tbl.find_opt s.tbl ia with
-  | None -> () (* overflow-era or cross-domain attrs: nothing resident *)
+  | None -> () (* cross-domain attrs: nothing resident here *)
   | Some e ->
     e.rc <- e.rc - 1;
     if e.rc <= 0 then begin

@@ -5,8 +5,13 @@
     massively across a routing table; this table maps each distinct set
     to one canonical physical representative with a dense integer id,
     so a RIB entry storing a shared IA degenerates to the int pair
-    (prefix pack, attribute-set id) — see {!Dbgp_types.Intern.prefix}
-    and {!Dbgp_types.Intern.prefix_pack} for the prefix half.
+    (prefix, attribute-set id) — {!Dbgp_types.Prefix.t} is itself an
+    immediate int.  This is the one canonicalisation point for
+    attribute sets: decoded IAs arrive unshared and meet here.
+
+    The table is uncapped.  It holds exactly the sets some RIB holds,
+    since a set whose refcount reaches zero leaves it; so a release
+    always decrements the entry its own share incremented.
 
     Refcounting governs only table membership (which sets are offered
     for future sharing), never memory safety: attribute lists are
@@ -17,7 +22,7 @@
 
     Domain-local, like the {!Dbgp_types.Intern} tables: each OCaml 5
     domain shares within itself, lock-free.  Counters
-    ([attr_table.hits]/[.misses]/[.evictions]/[.overflow]) and the
+    ([attr_table.hits]/[.misses]/[.evictions]) and the
     [attr_table.occupancy] gauge live in the calling domain's
     registry, {!metrics}. *)
 
@@ -25,8 +30,7 @@ val share : Ia.t -> Ia.t
 (** Acquire one reference to the IA's attribute set and return the IA
     re-pointed at the canonical physical attribute fields (the IA
     itself when already canonical).  Inserts the set (with refcount 1
-    and a fresh dense id) when absent; returns the IA unshared when the
-    table is at {!max_size} (counted under [attr_table.overflow]). *)
+    and a fresh dense id) when absent. *)
 
 val release : Ia.t -> unit
 (** Drop one reference to the IA's attribute set.  At zero the entry
@@ -43,9 +47,6 @@ val refcount : Ia.t -> int option
 
 val occupancy : unit -> int
 (** Resident attribute sets in the calling domain's table. *)
-
-val max_size : int
-(** Hard entry bound; beyond it {!share} degrades to identity. *)
 
 val metrics : unit -> Dbgp_obs.Metrics.t
 (** The calling domain's [attr_table.*] registry. *)

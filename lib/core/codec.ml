@@ -91,7 +91,6 @@ end)
    rate, never correctness. *)
 let values_key = Domain.DLS.new_key (fun () -> Value_tbl.create 256)
 let intern_value v = Value_tbl.intern (Domain.DLS.get values_key) v
-let value_intern_stats () = Value_tbl.stats (Domain.DLS.get values_key)
 
 let decode_pd_body r : Ia.path_descriptor =
   let owners = R.list r decode_proto in
@@ -150,7 +149,7 @@ let encode_withdraw prefix =
    Session_reset, like an unreadable announce prefix. *)
 let decode_withdraw_robust s : (Prefix.t * Errors.t list, Errors.t) result =
   let r = R.of_string s in
-  match Intern.prefix (R.prefix r) with
+  match R.prefix r with
   | prefix ->
     if R.at_end r then Ok (prefix, [])
     else
@@ -181,22 +180,18 @@ let decode_withdraw_robust s : (Prefix.t * Errors.t list, Errors.t) result =
    pointer). *)
 
 let enc_slots = 16384
-let dec_slots = 1024
 
-(* All mutable wire-layer state — the metrics registry, its four cached
-   counters, the encode cache and the decode memo — lives in one
-   domain-local record.  Caches are semantically transparent (a miss
-   just re-encodes/re-decodes), so per-domain instances change hit
-   rates, never results; per-domain registries are merged explicitly
-   by the sharded runner via [Metrics.merge_into]. *)
+(* All mutable wire-layer state — the metrics registry, its two cached
+   counters and the encode cache — lives in one domain-local record.
+   The cache is semantically transparent (a miss just re-encodes), so
+   per-domain instances change hit rates, never results; per-domain
+   registries are merged explicitly by the sharded runner via
+   [Metrics.merge_into]. *)
 type wire_state = {
   obs : Dbgp_obs.Metrics.t;
   c_enc_hits : Dbgp_obs.Metrics.counter;
   c_enc_misses : Dbgp_obs.Metrics.counter;
-  c_dec_hits : Dbgp_obs.Metrics.counter;
-  c_dec_misses : Dbgp_obs.Metrics.counter;
   enc_cache : (Ia.t * string) option array;
-  dec_memo : (string * Ia.t) option array;
 }
 
 let wire_key =
@@ -206,10 +201,7 @@ let wire_key =
         obs;
         c_enc_hits = Dbgp_obs.Metrics.counter obs "wire.encode_cache.hits";
         c_enc_misses = Dbgp_obs.Metrics.counter obs "wire.encode_cache.misses";
-        c_dec_hits = Dbgp_obs.Metrics.counter obs "wire.decode_memo.hits";
-        c_dec_misses = Dbgp_obs.Metrics.counter obs "wire.decode_memo.misses";
         enc_cache = Array.make enc_slots None;
-        dec_memo = Array.make dec_slots None;
       })
 
 let wire_state () = Domain.DLS.get wire_key
@@ -218,8 +210,7 @@ let wire_metrics () = (wire_state ()).obs
 let wire_metrics_reset () =
   let ws = wire_state () in
   Dbgp_obs.Metrics.reset ws.obs;
-  Array.fill ws.enc_cache 0 enc_slots None;
-  Array.fill ws.dec_memo 0 dec_slots None
+  Array.fill ws.enc_cache 0 enc_slots None
 
 let encode_cached ia =
   let ws = wire_state () in
@@ -281,7 +272,7 @@ let decode_attrs_salvage r discards =
   in
   let path_vector =
     guard Errors.Path_vector (fun () ->
-        Intern.path_vector (R.list ~min_width:2 r decode_elem))
+        R.list ~min_width:2 r decode_elem)
   in
   let membership =
     guard Errors.Membership (fun () -> R.list ~min_width:3 r decode_membership)
@@ -294,12 +285,12 @@ let decode_attrs_salvage r discards =
   in
   (path_vector, membership, path_descriptors, island_descriptors)
 
-let decode_robust_uncached s : (Ia.t * Errors.t list, Errors.t) result =
+let decode_robust s : (Ia.t * Errors.t list, Errors.t) result =
   let discards = ref [] in
   let r = R.of_string s in
   try
     let prefix =
-      try Intern.prefix (R.prefix r)
+      try R.prefix r
       with R.Error m ->
         raise (Fatal (Errors.make Errors.Session_reset Errors.Framing m))
     in
@@ -318,50 +309,10 @@ let decode_robust_uncached s : (Ia.t * Errors.t list, Errors.t) result =
         List.rev !discards )
   with Fatal e -> Error e
 
-(* Bounded decode memo: byte-identical deliveries (MRAI
-   re-advertisements, refresh waves, fault-model duplicates, peer-group
-   fan-out over a wire transport) decode once.  Direct-mapped on the
-   wire string's hash, so growth is bounded by construction — hostile
-   or fuzzed input can only churn slots, never expand the table — and
-   an overwrite ("eviction") costs one re-decode.  Only clean decodes
-   (no discarded descriptors) are memoized so the error counters and
-   rx traces replay identically on every malformed delivery. *)
-
-let dec_memo_max_wire = 4096
-let decode_memo_capacity = dec_slots
-
-let decode_robust s : (Ia.t * Errors.t list, Errors.t) result =
-  let ws = wire_state () in
-  if String.length s > dec_memo_max_wire then begin
-    Dbgp_obs.Metrics.incr ws.c_dec_misses;
-    decode_robust_uncached s
-  end
-  else begin
-    let slot = Hashtbl.hash s land (dec_slots - 1) in
-    match Array.unsafe_get ws.dec_memo slot with
-    | Some (s', ia) when String.equal s' s ->
-      Dbgp_obs.Metrics.incr ws.c_dec_hits;
-      Ok (ia, [])
-    | _ ->
-      Dbgp_obs.Metrics.incr ws.c_dec_misses;
-      let result = decode_robust_uncached s in
-      ( match result with
-        | Ok (ia, []) -> Array.unsafe_set ws.dec_memo slot (Some (s, ia))
-        | Ok (_, _ :: _) | Error _ -> () );
-      result
-  end
-
-let decode_memo_reset () = Array.fill (wire_state ()).dec_memo 0 dec_slots None
-
-let decode_memo_residency () =
-  Array.fold_left
-    (fun n e -> if e = None then n else n + 1)
-    0 (wire_state ()).dec_memo
-
 let decode s : Ia.t =
   let r = R.of_string s in
-  let prefix = Intern.prefix (R.prefix r) in
-  let path_vector = Intern.path_vector (R.list ~min_width:2 r decode_elem) in
+  let prefix = R.prefix r in
+  let path_vector = R.list ~min_width:2 r decode_elem in
   let membership = R.list ~min_width:3 r decode_membership in
   let path_descriptors = R.list ~min_width:pd_min_width r decode_pd in
   let island_descriptors = R.list ~min_width:id_min_width r decode_id in
@@ -419,7 +370,7 @@ let salvage_prefix_entries blobs discards =
       match
         let sub = R.of_string blob in
         let p = R.prefix sub in
-        if R.at_end sub then Intern.prefix p
+        if R.at_end sub then p
         else raise (R.Error "stray bytes inside NLRI entry")
       with
       | p -> Some p

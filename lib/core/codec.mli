@@ -23,12 +23,10 @@ val decode_robust : string -> (Ia.t * Errors.t list, Errors.t) result
     [Treat_as_withdraw] when the prefix decoded but the structure around
     it (path vector, membership, list framing, trailing bytes) did not,
     and [Session_reset] when even the prefix is unrecoverable.  Never
-    raises.
-
-    Byte-identical wires that previously decoded cleanly are answered
-    from a bounded decode memo (see [wire.decode_memo.*] in
-    {!wire_metrics}); malformed or salvaged wires are never memoized, so
-    error accounting replays on every delivery. *)
+    raises.  Every call decodes afresh, so error accounting replays on
+    every delivery of a malformed wire.  Two clean decodes of the same
+    bytes are structurally equal, not physically: the speaker's
+    attribute table ({!Attr_table}) is where equal attribute sets meet. *)
 
 val size : Ia.t -> int
 (** Exact encoded size in bytes (served from the encode cache). *)
@@ -88,9 +86,9 @@ val decode_withdraw_batch_robust :
 (** {1 Encode-once wire sharing}
 
     One distinct (physical) IA encodes once; every fan-out delivery
-    shares the same immutable wire string.  Both caches are
-    direct-mapped and bounded by construction: a slot collision
-    overwrites and merely costs a later re-encode/re-decode. *)
+    shares the same immutable wire string.  The cache is direct-mapped
+    and bounded by construction: a slot collision overwrites and merely
+    costs a later re-encode. *)
 
 val encode_cached : Ia.t -> string
 (** Same bytes as {!encode}; served from an identity-keyed cache.  The
@@ -100,30 +98,15 @@ val encode_cached : Ia.t -> string
 
 val wire_metrics : unit -> Dbgp_obs.Metrics.t
 (** The calling domain's wire registry, holding
-    [wire.encode_cache.hits]/[.misses] and
-    [wire.decode_memo.hits]/[.misses].  Domain-local: each simulation
+    [wire.encode_cache.hits]/[.misses].  Domain-local: each simulation
     domain accumulates into its own registry; a sharded run folds them
     together with {!Dbgp_obs.Metrics.merge_into}. *)
 
 val wire_metrics_reset : unit -> unit
-(** Zero the calling domain's wire registry and drop its encode cache
-    and decode memo.  Test suites sharing the process-lifetime wire
-    state call this in their setup so counts from earlier suites cannot
-    bleed into their assertions. *)
-
-val value_intern_stats : unit -> Dbgp_types.Intern.stats
-(** Interning statistics for decoded descriptor values (calling
-    domain's table). *)
-
-val decode_memo_capacity : int
-(** Hard slot bound of the decode memo — residency can never exceed
-    this regardless of input. *)
-
-val decode_memo_residency : unit -> int
-(** Occupied decode-memo slots (tests: bounded under fuzz input). *)
-
-val decode_memo_reset : unit -> unit
-(** Drop all memoized decodes (tests). *)
+(** Zero the calling domain's wire registry and drop its encode cache.
+    Test suites sharing the process-lifetime wire state call this in
+    their setup so counts from earlier suites cannot bleed into their
+    assertions. *)
 
 val encode_compressed : Ia.t -> string
 (** LZSS-compressed encoding (Section 3.2: "IAs can be compressed to

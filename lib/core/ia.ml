@@ -200,9 +200,9 @@ let equal a b = a == b || a = b
 
 (* Attribute equality ignoring the prefix: the batching layer buckets
    routes whose attribute sets coincide.  Per-field pointer checks come
-   first — interning and the export cache make physical sharing the
-   common case — with a structural fallback per field so equal-but-
-   unshared attributes still bucket together. *)
+   first — the attribute table and the export cache make physical
+   sharing the common case — with a structural fallback per field so
+   equal-but-unshared attributes still bucket together. *)
 let same_attrs a b =
   a == b
   || ((a.path_vector == b.path_vector || a.path_vector = b.path_vector)
@@ -211,6 +211,16 @@ let same_attrs a b =
         || a.path_descriptors = b.path_descriptors)
      && (a.island_descriptors == b.island_descriptors
         || a.island_descriptors = b.island_descriptors))
+
+(* Prefix excluded, like [same_attrs].  [Hashtbl.hash]'s bounded
+   traversal keeps this O(1) on hostile input; structurally equal
+   fields always hash equal. *)
+let hash_attrs t =
+  let h1 = Hashtbl.hash t.path_vector
+  and h2 = Hashtbl.hash t.membership
+  and h3 = Hashtbl.hash t.path_descriptors
+  and h4 = Hashtbl.hash t.island_descriptors in
+  (((((h1 * 31) + h2) * 31) + h3) * 31) + h4
 
 let with_prefix prefix t =
   if Prefix.equal prefix t.prefix then t else { t with prefix }

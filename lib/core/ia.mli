@@ -140,6 +140,12 @@ val same_attrs : t -> t -> bool
     multi-prefix batched updates: routes with [same_attrs] can share one
     wire attribute block. *)
 
+val hash_attrs : t -> int
+(** Hash of everything {e except} the prefix, compatible with
+    {!same_attrs}: attribute sets that are [same_attrs] hash equal.
+    Bounded traversal, so O(1) on hostile input.  The key hash of the
+    attribute table and of the batching layer's buckets. *)
+
 val with_prefix : Dbgp_types.Prefix.t -> t -> t
 (** [t] re-pointed at [prefix]; the attribute fields are physically
     shared with [t] (and [t] itself is returned when the prefix already

@@ -7,15 +7,15 @@
 
    - sustained updates/s (wall and CPU) over the full convergence run;
    - GC allocation per delivered update ([Gc] minor/major word deltas);
-   - encode-cache and decode-memo hit rates from
-     {!Dbgp_core.Codec.wire_metrics} counter deltas around the run.
+   - the encode-cache hit rate from {!Dbgp_core.Codec.wire_metrics}
+     counter deltas around the run.
 
    Each size runs twice: once with in-memory delivery (the headline
    throughput mode, comparable to the recorded pre-change baseline) and
    once with {!Dbgp_netsim.Network.set_wire_delivery} on, where every
    clean announcement crosses a real serialization boundary — encode on
    the sender (amortised by the encode cache), robust decode on the
-   receiver (amortised by the decode memo).
+   receiver for every delivery.
 
    The pre-change baseline constants below were measured on this
    machine at 1000 ASes / 64 prefixes / MRAI 2.0 immediately before the
@@ -47,9 +47,6 @@ type row = {
   enc_hits : int;
   enc_misses : int;
   enc_hit_rate : float;
-  dec_hits : int;
-  dec_misses : int;
-  dec_hit_rate : float;
 }
 
 type headline = {
@@ -107,8 +104,6 @@ let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(wire = false) ~ases () =
   Gc.compact ();
   let enc_hits0 = wire_count "wire.encode_cache.hits" in
   let enc_misses0 = wire_count "wire.encode_cache.misses" in
-  let dec_hits0 = wire_count "wire.decode_memo.hits" in
-  let dec_misses0 = wire_count "wire.decode_memo.misses" in
   let g0 = Gc.quick_stat () in
   let tm0 = Unix.times () in
   let t0 = Unix.gettimeofday () in
@@ -125,8 +120,6 @@ let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(wire = false) ~ases () =
   let per_update w = if updates = 0 then 0. else w /. float_of_int updates in
   let enc_hits = wire_count "wire.encode_cache.hits" - enc_hits0 in
   let enc_misses = wire_count "wire.encode_cache.misses" - enc_misses0 in
-  let dec_hits = wire_count "wire.decode_memo.hits" - dec_hits0 in
-  let dec_misses = wire_count "wire.decode_memo.misses" - dec_misses0 in
   { ases;
     prefixes;
     wire;
@@ -147,10 +140,7 @@ let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(wire = false) ~ases () =
        (Gc.stat ()).Gc.live_words);
     enc_hits;
     enc_misses;
-    enc_hit_rate = rate enc_hits enc_misses;
-    dec_hits;
-    dec_misses;
-    dec_hit_rate = rate dec_hits dec_misses }
+    enc_hit_rate = rate enc_hits enc_misses }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded axis: the same BRITE convergence workload on a partitioned  *)
@@ -344,10 +334,7 @@ let to_snapshot r =
       ("live_words", Snapshot.Int r.live_words);
       ("encode_cache_hits", Snapshot.Int r.enc_hits);
       ("encode_cache_misses", Snapshot.Int r.enc_misses);
-      ("encode_cache_hit_rate", Snapshot.Float r.enc_hit_rate);
-      ("decode_memo_hits", Snapshot.Int r.dec_hits);
-      ("decode_memo_misses", Snapshot.Int r.dec_misses);
-      ("decode_memo_hit_rate", Snapshot.Float r.dec_hit_rate) ]
+      ("encode_cache_hit_rate", Snapshot.Float r.enc_hit_rate) ]
 
 let headline_to_snapshot h =
   Snapshot.Obj
@@ -364,15 +351,13 @@ let headline_to_snapshot h =
 let pp ppf r =
   Format.fprintf ppf
     "%4d ASes %3d pfx %-6s %6d updates  %7.0f up/s (%7.0f cpu)  \
-     %6.0f minor w/up  enc %d/%d (%.0f%%)  dec %d/%d (%.0f%%)"
+     %6.0f minor w/up  enc %d/%d (%.0f%%)"
     r.ases r.prefixes
     (if r.wire then "wire" else "memory")
     r.updates r.updates_per_s r.updates_per_cpu_s r.minor_words_per_update
     r.enc_hits
     (r.enc_hits + r.enc_misses)
-    (100. *. r.enc_hit_rate) r.dec_hits
-    (r.dec_hits + r.dec_misses)
-    (100. *. r.dec_hit_rate)
+    (100. *. r.enc_hit_rate)
 
 let pp_headline ppf h =
   Format.fprintf ppf

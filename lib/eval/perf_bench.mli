@@ -1,11 +1,11 @@
 (** Hot-path performance benchmark: the numbers behind the
-    allocation-elimination work (interned IAs, encode-once wire sharing,
-    heap-backed event queue).
+    allocation-elimination work (shared attribute sets, encode-once
+    wire sharing, heap-backed event queue).
 
     Converges seeded BRITE topologies at 64+ originated prefixes under
     MRAI batching and reports sustained updates/s (wall and CPU), GC
     words allocated per delivered update, and the
-    [wire.encode_cache.*] / [wire.decode_memo.*] hit rates from
+    [wire.encode_cache.*] hit rate from
     {!Dbgp_core.Codec.wire_metrics} counter deltas around the run.
 
     Each size runs in two delivery modes: {e memory} (announcements
@@ -13,7 +13,7 @@
     comparable to the recorded pre-change baseline) and {e wire}
     ({!Dbgp_netsim.Network.set_wire_delivery}: every clean announcement
     is encoded by the sender and robustly decoded by the receiver, so
-    both wire caches face real fan-out traffic).
+    the encode cache faces real fan-out traffic).
 
     Topology and message counts are deterministic for a given seed; the
     timing and GC fields are machine-dependent. *)
@@ -36,9 +36,6 @@ type row = {
   enc_hits : int;          (** [wire.encode_cache.hits] delta *)
   enc_misses : int;
   enc_hit_rate : float;
-  dec_hits : int;          (** [wire.decode_memo.hits] delta *)
-  dec_misses : int;
-  dec_hit_rate : float;
 }
 
 type headline = {

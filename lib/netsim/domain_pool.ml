@@ -2,7 +2,7 @@
 
    The sharded simulator runs thousands of short epochs; spawning a
    domain per epoch would dominate runtime and, worse, discard every
-   domain-local cache (intern tables, codec encode/decode caches)
+   domain-local cache (intern tables, the codec encode cache)
    between epochs.  The pool instead spawns [size - 1] long-lived
    domains once; member 0 is the calling domain itself, so a pool of
    size 1 degenerates to plain sequential execution with zero spawns.

@@ -258,14 +258,7 @@ module Attr_buckets = Hashtbl.Make (struct
   type t = Dbgp_core.Ia.t
 
   let equal = Dbgp_core.Ia.same_attrs
-
-  (* Prefix excluded: the bucket relation is attrs-only. *)
-  let hash (ia : Dbgp_core.Ia.t) =
-    let h1 = Hashtbl.hash ia.Dbgp_core.Ia.path_vector
-    and h2 = Hashtbl.hash ia.Dbgp_core.Ia.membership
-    and h3 = Hashtbl.hash ia.Dbgp_core.Ia.path_descriptors
-    and h4 = Hashtbl.hash ia.Dbgp_core.Ia.island_descriptors in
-    (((((h1 * 31) + h2) * 31) + h3) * 31) + h4
+  let hash = Dbgp_core.Ia.hash_attrs
 end)
 
 let frame_prefixes = function
@@ -500,10 +493,9 @@ and deliver_once t ~now ~from ~to_ msg =
       (* Wire-faithful delivery (opt-in, see {!set_wire_delivery}):
          encode the announcement — the sender-side cache makes repeats
          cheap — and hand the receiver the bytes through the robust
-         decode path, where the receive-side memo recognises wire
-         strings it has already decoded.  Clean bytes round-trip to an
-         equal IA, so routing behavior is unchanged; only the
-         serialization boundary becomes real. *)
+         decode path.  Clean bytes round-trip to an equal IA, so routing
+         behavior is unchanged; only the serialization boundary becomes
+         real. *)
       let wire = Dbgp_core.Codec.encode_cached ia in
       snd (Speaker.receive_wire ~now ~defer:batched s ~from:(peer_of t from) wire)
     | _ ->

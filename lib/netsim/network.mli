@@ -189,8 +189,8 @@ val set_wire_delivery : t -> bool -> unit
     through {!Dbgp_core.Speaker.receive_wire} instead of as in-memory
     values: the sender pays {!Dbgp_core.Codec.encode} (amortised by the
     encode cache) and the receiver pays {!Dbgp_core.Codec.decode_robust}
-    (amortised by the decode memo).  Clean bytes round-trip to an equal
-    IA, so routing outcomes are unchanged — this mode exists to make the
+    on every delivery.  Clean bytes round-trip to an equal IA, so
+    routing outcomes are unchanged — this mode exists to make the
     serialization boundary real for wire-path benchmarks
     ({!Dbgp_eval.Perf_bench}).  Default off. *)
 

@@ -1,23 +1,23 @@
-(** Hash-consed interning for hot-path values.
+(** Hash-consed interning for small hot-path values.
 
     Maps structurally equal values to one physical representative so
-    equality checks short-circuit on [==] and fanned-out announces
-    share storage.  Tables are bounded (reset wholesale at capacity);
-    every interned value stays valid after a reset — only future
-    sharing is lost — so callers never need to care about residency.
+    repeated values (descriptor field names, descriptor values) share
+    storage.  Tables are bounded (reset wholesale at capacity); every
+    interned value stays valid after a reset — only future sharing is
+    lost — so callers never need to care about residency.  Whole attribute sets, path vector included, are
+    canonicalised by [Dbgp_core.Attr_table], not here.
 
-    The shared tables below are what the codec and speaker use; the
-    {!Make} functor builds additional per-type tables.
+    The string table below is what the codec uses; the {!Make} functor
+    builds additional per-type tables (the codec's descriptor-value
+    table).
 
-    Domain-safety: the shared tables (and the loop memo) are
+    Domain-safety: the shared table (and the loop memo) are
     domain-local — each OCaml 5 domain lazily creates its own instance
     on first use, so sharded simulations intern lock-free.  Interning is
     semantically transparent, so per-domain canonicalization is sound:
     values crossing domains merely lose the pointer-equality fast path
-    and fall back to structural comparison.  Stats and {!clear_all}
-    refer to the calling domain's tables. *)
-
-type stats = { hits : int; misses : int; size : int; clears : int }
+    and fall back to structural comparison.  {!clear_all} refers to
+    the calling domain's tables. *)
 
 module type HashedType = sig
   type t
@@ -39,45 +39,20 @@ module type S = sig
   (** Canonical representative: two structurally equal arguments return
       the same physical value while the table retains the first. *)
 
-  val length : t -> int
   val clear : t -> unit
-  val stats : t -> stats
 end
 
 module Make (H : HashedType) : S with type value = H.t
 
-val path_elem : Path_elem.t -> Path_elem.t
-(** Canonical representative of one path element. *)
-
-val path_vector : Path_elem.t list -> Path_elem.t list
-(** Canonical representative of a whole vector, hash-consed cell by
-    cell: vectors sharing a structural tail share it physically, so
-    prepending onto an interned vector only adds one fresh cell. *)
-
 val string : string -> string
 (** Canonical representative for small repeated strings (descriptor
-    field names, protocol names). *)
-
-val prefix : Prefix.t -> Prefix.t
-(** Canonical representative of a prefix.  {!Prefix.t} is itself the
-    dense-int pack ([network lsl 6 lor length]) stored unboxed, so
-    every prefix is already canonical and this is the identity — kept
-    so the decode paths read uniformly with the other intern points. *)
-
-val prefix_pack : Prefix.t -> int
-(** The dense-int pack itself ([network lsl 6 lor length]) — the
-    compact-route-store key under which a RIB entry degenerates to an
-    int pair (prefix pack, attribute-set id). *)
+    field names). *)
 
 val has_loop : Path_elem.t list -> bool
 (** [Path_elem.has_loop] behind a direct-mapped identity memo —
     repeated checks of the same (physically) vector are O(1).  Sound
-    for any argument, fast for interned ones. *)
-
-val path_elem_stats : unit -> stats
-val path_vector_stats : unit -> stats
-val string_stats : unit -> stats
+    for any argument, fast for physically shared ones. *)
 
 val clear_all : unit -> unit
-(** Reset every global table and the loop memo (tests, and leak-proof
+(** Reset the string table and the loop memo (tests, and leak-proof
     teardown paths). *)

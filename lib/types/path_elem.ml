@@ -33,7 +33,24 @@ let to_string = function
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 let path_length path = List.length path
 
+(* Two elements of one path that together make a loop: an AS met again
+   (as itself or inside an AS_SET), or an island met again. *)
+let clash e e' =
+  match e with
+  | As a -> mentions_asn a e'
+  | As_set s -> List.exists (fun a -> mentions_asn a e') s
+  | Island i -> mentions_island i e'
+
+(* Real paths are a handful of hops: compare each element with the ones
+   after it, allocating nothing.  Long (hostile) paths take the set
+   walk, which stays O(n log n). *)
+let short_path = 16
+
 let has_loop path =
+  let rec pairwise = function
+    | [] -> false
+    | e :: rest -> List.exists (clash e) rest || pairwise rest
+  in
   let rec go seen_as seen_isl = function
     | [] -> false
     | As a :: rest ->
@@ -45,7 +62,8 @@ let has_loop path =
       List.exists (fun a -> Asn.Set.mem a seen_as) s
       || go (List.fold_left (fun acc a -> Asn.Set.add a acc) seen_as s) seen_isl rest
   in
-  go Asn.Set.empty Island_id.Set.empty path
+  if List.compare_length_with path short_path <= 0 then pairwise path
+  else go Asn.Set.empty Island_id.Set.empty path
 
 let pp_path ppf path =
   Format.pp_print_list

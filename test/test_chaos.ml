@@ -383,6 +383,42 @@ let test_chaos_seeds_vary () =
     (r1.Chaos.flapped <> r2.Chaos.flapped
     || r1.Chaos.final <> r2.Chaos.final)
 
+(* Attribute-table balance end to end: every set a speaker shares is
+   released by whatever evicts the route.  The table has no cap, so a
+   leaked reference would otherwise only show as silent growth.  After
+   a chaos run (corruption and duplicates on, so the salvage and
+   duplicate paths run too), withdraw every origination and unlink
+   every link: nothing may stay resident. *)
+let test_chaos_attr_table_drains () =
+  let module Attr_table = Dbgp_core.Attr_table in
+  Attr_table.reset ();
+  let _, net =
+    Chaos.run_with_net
+      { chaos_cfg with Chaos.corruption = 0.1; duplicate = 0.1 }
+  in
+  check "sets resident after the run" true (Attr_table.occupancy () > 0);
+  List.iter
+    (fun a ->
+      List.iter
+        (fun (p, _) -> Network.withdraw_origin net a p)
+        (Speaker.best_routes (Network.speaker net a)))
+    (Network.asns net);
+  ignore (Network.run net);
+  List.iter
+    (fun a ->
+      List.iter
+        (fun (n : Speaker.neighbor) ->
+          Network.unlink net a n.Speaker.peer.Peer.asn)
+        (Speaker.neighbors (Network.speaker net a)))
+    (Network.asns net);
+  ignore (Network.run net);
+  List.iter
+    (fun a ->
+      check_int "no routes left" 0
+        (List.length (Speaker.best_routes (Network.speaker net a))))
+    (Network.asns net);
+  check_int "attribute table drained" 0 (Attr_table.occupancy ())
+
 let () =
   Alcotest.run "chaos"
     [ ("fault-model",
@@ -427,4 +463,6 @@ let () =
            test_chaos_budget_censors;
          Alcotest.test_case "convergence budget censors" `Quick
            test_convergence_budget_censors;
-         Alcotest.test_case "seeds vary" `Quick test_chaos_seeds_vary ]) ]
+         Alcotest.test_case "seeds vary" `Quick test_chaos_seeds_vary;
+         Alcotest.test_case "attr table drains after teardown" `Quick
+           test_chaos_attr_table_drains ]) ]

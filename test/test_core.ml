@@ -368,6 +368,103 @@ let test_attr_table_lifecycle () =
   check "evictions counted" true (counter "attr_table.evictions" >= 1);
   Attr_table.reset ()
 
+(* An attribute set per key: path vector and (for odd keys) one
+   descriptor, rebuilt on every call — equal for equal keys, never
+   physically shared. *)
+let attr_set ?(prefix = "99.0.0.0/24") k =
+  { Ia.prefix = pfx prefix;
+    path_vector = [ Path_elem.As (asn (1 + k)); Path_elem.As (asn 65000) ];
+    membership = [];
+    path_descriptors =
+      ( if k mod 2 = 0 then []
+        else
+          [ { Ia.owners = [ Protocol_id.bgp ]; field = "m";
+              value = Value.Int k } ] );
+    island_descriptors = [] }
+
+(* Regression: the table was capped at 262,144 sets, and a set shared
+   while it was full came back unshared.  Its later release then found
+   an equal set someone else had shared since, and took that holder's
+   reference: here X' was evicted while its holder still held it. *)
+let test_attr_table_uncapped () =
+  Attr_table.reset ();
+  let fillers = 262_144 in
+  for k = 0 to fillers - 1 do
+    ignore (Attr_table.share (attr_set (2 * (k + 1))))
+  done;
+  let x = Attr_table.share (attr_set 1) in
+  Attr_table.release (attr_set 2);
+  let x' = Attr_table.share (attr_set ~prefix:"88.0.0.0/24" 1) in
+  Attr_table.release x;
+  check "X' keeps its own reference" true (Attr_table.refcount x' = Some 1);
+  check_int "X' resident beside the fillers" fillers (Attr_table.occupancy ());
+  Attr_table.reset ()
+
+(* Model test: random share/release sequences over a few attribute
+   sets, every IA freshly built (equal to others of its key, physically
+   distinct), checked after each step against a multiset model that
+   also replays the dense-id allocator (free ids reused first, most
+   recently freed on top). *)
+let attr_table_model =
+  let keys = 5 in
+  QCheck.Test.make ~name:"attr-table matches multiset model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 60) (pair bool (int_bound (keys - 1))))
+    (fun ops ->
+      Attr_table.reset ();
+      let count = Array.make keys 0 and id = Array.make keys (-1) in
+      let canon = Array.make keys None in
+      let free = ref [] and next = ref 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (do_share, k) ->
+          if do_share then begin
+            let ia' = Attr_table.share (attr_set k) in
+            if count.(k) = 0 then begin
+              ( match !free with
+                | i :: rest ->
+                  free := rest;
+                  id.(k) <- i
+                | [] ->
+                  id.(k) <- !next;
+                  incr next );
+              canon.(k) <- Some ia'.Ia.path_vector
+            end;
+            count.(k) <- count.(k) + 1;
+            (* Every share hands back the first resident set's fields. *)
+            expect
+              (match canon.(k) with
+               | Some pv -> ia'.Ia.path_vector == pv
+               | None -> false)
+          end
+          else begin
+            (* Released through an equal, physically distinct IA;
+               releasing a set that is not resident is a no-op. *)
+            Attr_table.release (attr_set ~prefix:"77.0.0.0/24" k);
+            if count.(k) > 0 then begin
+              count.(k) <- count.(k) - 1;
+              if count.(k) = 0 then begin
+                free := id.(k) :: !free;
+                canon.(k) <- None
+              end
+            end
+          end;
+          for j = 0 to keys - 1 do
+            let probe = attr_set j in
+            if count.(j) = 0 then
+              expect (Attr_table.refcount probe = None
+                      && Attr_table.id_of probe = None)
+            else
+              expect (Attr_table.refcount probe = Some count.(j)
+                      && Attr_table.id_of probe = Some id.(j))
+          done;
+          expect
+            (Attr_table.occupancy ()
+             = Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 count))
+        ops;
+      Attr_table.reset ();
+      !ok)
+
 (* ------------------------- Filters ------------------------- *)
 
 let test_filters_loops () =
@@ -847,7 +944,11 @@ let () =
          Alcotest.test_case "when" `Quick test_filters_when ]);
       ("decision-module",
        [ Alcotest.test_case "bgp select" `Quick test_bgp_module_select ]);
-      ("attr-table", [ Alcotest.test_case "refcount lifecycle" `Quick test_attr_table_lifecycle ]);
+      ("attr-table",
+       [ Alcotest.test_case "refcount lifecycle" `Quick test_attr_table_lifecycle;
+         Alcotest.test_case "uncapped: release takes only its own reference"
+           `Quick test_attr_table_uncapped;
+         QCheck_alcotest.to_alcotest attr_table_model ]);
       ("adj-rib-in", [ Alcotest.test_case "set/candidates/drop" `Quick test_ia_db ]);
       ("factory",
        [ Alcotest.test_case "passthrough" `Quick test_factory_passthrough;

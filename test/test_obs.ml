@@ -100,9 +100,31 @@ let test_trace_ring () =
          | Trace.Damping_reuse { asn; _ } -> asn
          | _ -> -1)
        es);
+  Alcotest.(check (list (float 0.)))
+    "times travel with their events" [ 3.; 4.; 5.; 6. ]
+    (List.map (fun (e : Trace.entry) -> e.Trace.at) es);
   Trace.clear t;
   check_int "clear empties" 0 (List.length (Trace.entries t));
   check_int "clear resets emitted" 0 (Trace.emitted t);
+  Trace.emit t ~at:9. (ev 9);
+  check "emit after clear" true
+    (match Trace.entries t with
+     | [ { Trace.at = 9.; event = Trace.Damping_reuse { asn = 9; _ } } ] -> true
+     | _ -> false);
+  (* A ring that grows in steps (16, 32, then its 40 cap) and wraps
+     keeps every retained (time, event) pair together, oldest first. *)
+  let big = Trace.create ~capacity:40 () in
+  for i = 1 to 100 do
+    Trace.emit big ~at:(float_of_int i /. 2.) (ev i)
+  done;
+  check "grown ring keeps pairs in order" true
+    (List.mapi
+       (fun k (e : Trace.entry) ->
+         let i = 61 + k in
+         e.Trace.at = float_of_int i /. 2.
+         && e.Trace.event = ev i)
+       (Trace.entries big)
+     = List.init 40 (fun _ -> true));
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
       ignore (Trace.create ~capacity:0 ()))
@@ -405,8 +427,10 @@ let test_batch_attr_counter_names () =
   List.iter
     (fun name ->
       check (name ^ " registered") true (Metrics.find_counter at name <> None))
-    [ "attr_table.hits"; "attr_table.misses"; "attr_table.evictions";
-      "attr_table.overflow" ];
+    [ "attr_table.hits"; "attr_table.misses"; "attr_table.evictions" ];
+  (* The table is uncapped, so there is no overflow path to count. *)
+  check "attr_table.overflow not registered" true
+    (Metrics.find_counter at "attr_table.overflow" = None);
   check "attr sets resident" true (Dbgp_core.Attr_table.occupancy () > 0);
   (* Frames decode back into per-prefix routes at the receiver. *)
   check "batched routes delivered" true
@@ -454,21 +478,20 @@ let test_pipeline_bench_schema () =
 
 (* BENCH_perf.json rows come straight from [Perf_bench.to_snapshot]; pin
    the schema here so the bench artifact cannot drift silently.  A small
-   wire-mode run doubles as an end-to-end check that the decode memo
-   sees real receive-side traffic. *)
+   wire-mode run doubles as an end-to-end check that the encode cache
+   sees real fan-out traffic. *)
 let test_perf_bench_schema () =
   let r = E.Perf_bench.run ~ases:25 ~prefixes:8 ~wire:true () in
   let s = E.Perf_bench.to_snapshot r in
   let int_fields =
     [ "ases"; "prefixes"; "messages"; "updates"; "events";
       "peak_heap_words"; "live_words";
-      "encode_cache_hits"; "encode_cache_misses"; "decode_memo_hits";
-      "decode_memo_misses" ]
+      "encode_cache_hits"; "encode_cache_misses" ]
   in
   let float_fields =
     [ "elapsed_s"; "cpu_s"; "updates_per_s"; "updates_per_cpu_s";
       "minor_words_per_update"; "major_words_per_update";
-      "encode_cache_hit_rate"; "decode_memo_hit_rate" ]
+      "encode_cache_hit_rate" ]
   in
   List.iter
     (fun f ->
@@ -485,9 +508,10 @@ let test_perf_bench_schema () =
   ( match Snapshot.member "wire" s with
     | Some (Snapshot.Bool true) -> ()
     | _ -> Alcotest.fail "wire must echo the delivery mode" );
-  (* Wire mode means both caches saw the convergence traffic. *)
+  (* Wire mode means the encode cache saw the convergence traffic. *)
   check "encode cache hits > 0" true (r.E.Perf_bench.enc_hits > 0);
-  check "decode memo hits > 0" true (r.E.Perf_bench.dec_hits > 0);
+  check "no decode-memo fields" true
+    (Snapshot.member "decode_memo_hits" s = None);
   ( match E.Perf_bench.headline [ { r with E.Perf_bench.wire = false } ] with
     | Some h ->
       let hs = E.Perf_bench.headline_to_snapshot h in
@@ -718,7 +742,7 @@ let test_wire_registry_bleed () =
   let before = Metrics.counters m in
   check "codec traffic recorded" true (List.exists (fun (_, n) -> n > 0) before);
   (* A handle an "earlier suite" kept around. *)
-  let stale = Metrics.counter m "wire.decode_memo.misses" in
+  let stale = Metrics.counter m "wire.encode_cache.misses" in
   Codec.wire_metrics_reset ();
   check "registry identity stable across reset" true
     (Codec.wire_metrics () == m);

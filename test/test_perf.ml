@@ -4,10 +4,7 @@
    - the heap-backed {!Dbgp_netsim.Event_queue} dequeues exactly like a
      Map-based reference model over randomized interleavings, including
      same-time FIFO ties and events scheduled mid-run;
-   - hash-consed interning makes structural equality physical, and the
-     tables survive {!Dbgp_core.Speaker.remove_neighbor};
-   - the receive-side decode memo stays bounded under fuzz-grade input
-     and never memoizes damaged wires;
+   - the intern tables survive {!Dbgp_core.Speaker.remove_neighbor};
    - the encode cache serves byte-identical (and physically shared)
      wires;
    - wire-faithful delivery ({!Dbgp_netsim.Network.set_wire_delivery})
@@ -136,31 +133,6 @@ let test_budget_exhaustion_signal () =
 
 (* ----------------------------- interning ----------------------------- *)
 
-let fresh_path n =
-  (* Rebuilt from scratch each call: structurally equal, physically new. *)
-  List.init n (fun i -> Path_elem.as_ (Asn.of_int (100 + i)))
-
-let test_intern_structural_implies_physical () =
-  let a = Intern.path_vector (fresh_path 6) in
-  let b = Intern.path_vector (fresh_path 6) in
-  check "interned vectors share storage" true (a == b);
-  let e1 = Intern.path_elem (Path_elem.as_ (Asn.of_int 7)) in
-  let e2 = Intern.path_elem (Path_elem.as_ (Asn.of_int 7)) in
-  check "interned elements share storage" true (e1 == e2);
-  (* Tail sharing: prepending onto an interned vector interns only the
-     new cell. *)
-  let longer = Intern.path_vector (Path_elem.as_ (Asn.of_int 1) :: a) in
-  check "tail shared physically" true (List.tl longer == a);
-  (* Decoding the same wire twice yields physically shared vectors. *)
-  let ia =
-    Ia.originate ~prefix:(Prefix.of_string "99.1.0.0/24")
-      ~origin_asn:(Asn.of_int 1) ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
-  in
-  let wire = Codec.encode ia in
-  let d1 = Codec.decode wire and d2 = Codec.decode wire in
-  check "decoded path vectors interned" true
-    (d1.Ia.path_vector == d2.Ia.path_vector)
-
 let test_intern_survives_remove_neighbor () =
   let mk n =
     Speaker.create
@@ -169,87 +141,45 @@ let test_intern_survives_remove_neighbor () =
   in
   let s = mk 5 in
   let p1 = Peer.make ~asn:(Asn.of_int 1) ~addr:(Ipv4.of_octets 10 0 0 1) in
+  let prefix = Prefix.of_string "99.2.0.0/24" in
   let announce () =
     let ia =
-      Ia.originate ~prefix:(Prefix.of_string "99.2.0.0/24")
-        ~origin_asn:(Asn.of_int 1) ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
+      Ia.originate ~prefix ~origin_asn:(Asn.of_int 1)
+        ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
     in
     Codec.decode (Codec.encode ia)
   in
-  Speaker.add_neighbor s
-    (Speaker.neighbor ~relationship:Policy.To_customer p1);
-  ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
-  let before =
-    match Speaker.best s (Prefix.of_string "99.2.0.0/24") with
-    | Some c -> c.Speaker.candidate.Dbgp_core.Decision_module.ia.Ia.path_vector
+  let best_descriptors () =
+    match Speaker.best s prefix with
+    | Some c ->
+      c.Speaker.candidate.Dbgp_core.Decision_module.ia.Ia.path_descriptors
     | None -> Alcotest.fail "route installed"
   in
-  ignore (Speaker.remove_neighbor s p1);
-  check "route gone after removal" true
-    (Speaker.best s (Prefix.of_string "99.2.0.0/24") = None);
-  (* Re-add and re-learn: the global intern tables were untouched by the
-     teardown, so the re-learned route shares the same physical path. *)
+  let resident = Dbgp_core.Attr_table.occupancy () in
   Speaker.add_neighbor s
     (Speaker.neighbor ~relationship:Policy.To_customer p1);
   ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
-  ( match Speaker.best s (Prefix.of_string "99.2.0.0/24") with
-    | Some c ->
-      check "re-learned path physically equal to pre-removal path" true
-        (c.Speaker.candidate.Dbgp_core.Decision_module.ia.Ia.path_vector
-         == before)
-    | None -> Alcotest.fail "route re-installed" )
-
-(* --------------------------- decode memo ----------------------------- *)
-
-let test_decode_memo_bounded_under_fuzz () =
-  Codec.decode_memo_reset ();
-  let rand = prng 77 in
-  let distinct = 4 * Codec.decode_memo_capacity in
-  for i = 0 to distinct - 1 do
-    let ia =
-      Ia.originate
-        ~prefix:
-          (Prefix.of_string
-             (Printf.sprintf "10.%d.%d.0/24" (i / 256 mod 256) (i mod 256)))
-        ~origin_asn:(Asn.of_int (1 + (i mod 1000)))
-        ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
-    in
-    let wire = Codec.encode ia in
-    (* Half the traffic is damaged: flip a byte or truncate. *)
-    let wire =
-      match rand 4 with
-      | 0 ->
-        let b = Bytes.of_string wire in
-        let at = rand (Bytes.length b) in
-        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 + rand 255)));
-        Bytes.to_string b
-      | 1 -> String.sub wire 0 (rand (String.length wire))
-      | _ -> wire
-    in
-    ignore (Codec.decode_robust wire)
-  done;
-  check "memo residency bounded by capacity" true
-    (Codec.decode_memo_residency () <= Codec.decode_memo_capacity)
-
-let test_decode_memo_never_caches_damage () =
-  Codec.decode_memo_reset ();
-  let ia =
-    Ia.originate ~prefix:(Prefix.of_string "99.3.0.0/24")
-      ~origin_asn:(Asn.of_int 3) ~next_hop:(Ipv4.of_octets 10 0 0 3) ()
-  in
-  let wire = Codec.encode ia in
-  let truncated = String.sub wire 0 (String.length wire - 2) in
-  let outcome () =
-    match Codec.decode_robust truncated with
-    | Ok (_, []) -> "clean"
-    | Ok (_, _ :: _) -> "salvaged"
-    | Error _ -> "error"
-  in
-  let first = outcome () in
-  check "damaged wire is not clean" true (first <> "clean");
-  (* A memoized damaged wire would come back [Ok (ia, [])] — "clean" —
-     on the second decode and drop the error accounting. *)
-  Alcotest.(check string) "replay reports the damage again" first (outcome ())
+  let before = best_descriptors () in
+  ignore (Speaker.remove_neighbor s p1);
+  check "route gone after removal" true (Speaker.best s prefix = None);
+  (* The teardown released every attribute set the route held. *)
+  check_int "attribute table back to its prior occupancy" resident
+    (Dbgp_core.Attr_table.occupancy ());
+  (* Re-add and re-learn: the string and descriptor-value intern tables
+     were untouched by the teardown, so the re-learned route's
+     descriptors share the pre-removal field names and values
+     physically, although the decode and the attribute set are new. *)
+  Speaker.add_neighbor s
+    (Speaker.neighbor ~relationship:Policy.To_customer p1);
+  ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
+  let after = best_descriptors () in
+  check_int "same descriptor count" (List.length before) (List.length after);
+  List.iter2
+    (fun (b : Ia.path_descriptor) (a : Ia.path_descriptor) ->
+      check ("field " ^ b.field ^ " physically shared") true (a.field == b.field);
+      check ("value of " ^ b.field ^ " physically shared") true
+        (a.value == b.value))
+    before after
 
 (* --------------------------- encode cache ---------------------------- *)
 
@@ -272,9 +202,7 @@ let test_wire_delivery_equivalent () =
   let w = E.Perf_bench.run ~ases:40 ~prefixes:8 ~wire:true () in
   check_int "same messages" m.E.Perf_bench.messages w.E.Perf_bench.messages;
   check_int "same updates" m.E.Perf_bench.updates w.E.Perf_bench.updates;
-  check_int "same events" m.E.Perf_bench.events w.E.Perf_bench.events;
-  check "wire mode exercised the decode memo" true
-    (w.E.Perf_bench.dec_hits > 0)
+  check_int "same events" m.E.Perf_bench.events w.E.Perf_bench.events
 
 let () =
   Alcotest.run "perf"
@@ -284,16 +212,10 @@ let () =
          Alcotest.test_case "budget exhaustion surfaced" `Quick
            test_budget_exhaustion_signal ]);
       ("interning",
-       [ Alcotest.test_case "structural implies physical" `Quick
-           test_intern_structural_implies_physical;
-         Alcotest.test_case "survives remove_neighbor" `Quick
+       [ Alcotest.test_case "survives remove_neighbor" `Quick
            test_intern_survives_remove_neighbor ]);
       ("wire-caches",
-       [ Alcotest.test_case "decode memo bounded under fuzz" `Quick
-           test_decode_memo_bounded_under_fuzz;
-         Alcotest.test_case "decode memo never caches damage" `Quick
-           test_decode_memo_never_caches_damage;
-         Alcotest.test_case "encode cache correct" `Quick
+       [ Alcotest.test_case "encode cache correct" `Quick
            test_encode_cache_correct ]);
       ("wire-delivery",
        [ Alcotest.test_case "equivalent to in-memory delivery" `Quick

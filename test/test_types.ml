@@ -292,7 +292,36 @@ let qcheck =
       (list_of_size (Gen.int_range 0 8) (int_bound 100000))
       (fun ns ->
         let uniq = List.sort_uniq compare ns in
-        not (Path_elem.has_loop (List.map (fun n -> Path_elem.As (Asn.of_int n)) uniq))) ]
+        not (Path_elem.has_loop (List.map (fun n -> Path_elem.As (Asn.of_int n)) uniq)));
+    (* Short paths are checked pairwise, long ones with sets: both must
+       agree with the rule itself — some AS or island on two different
+       elements of the path. *)
+    Test.make ~name:"has_loop = repeated AS or island, short and long" ~count:500
+      (make
+         Gen.(
+           list_size (int_range 0 40)
+             (frequency
+                [ (6, map (fun n -> Path_elem.As (Asn.of_int n)) (int_range 1 120));
+                  (1, map (fun n -> Path_elem.Island (Island_id.named (string_of_int n)))
+                        (int_range 0 9));
+                  (1, map (fun ns -> Path_elem.as_set (List.map Asn.of_int ns))
+                        (list_size (int_range 0 3) (int_range 1 120))) ])))
+      (fun path ->
+        let tokens =
+          List.concat
+            (List.mapi
+               (fun k -> function
+                 | Path_elem.As a -> [ (`As (Asn.to_int a), k) ]
+                 | Path_elem.As_set s -> List.map (fun a -> (`As (Asn.to_int a), k)) s
+                 | Path_elem.Island i -> [ (`Island (Island_id.to_string i), k) ])
+               path)
+        in
+        let repeated =
+          List.exists
+            (fun (t, k) -> List.exists (fun (t', k') -> t = t' && k <> k') tokens)
+            tokens
+        in
+        Path_elem.has_loop path = repeated) ]
 
 let () =
   Alcotest.run "types"
